@@ -189,7 +189,7 @@ void BM_ExecEngineVsTreeWalk(benchmark::State &State) {
       R = I.run();
     } else if (Mode == 2) {
       auto Prog = DecodeCache::global().get(*M, DecodeOptions{false});
-      PrivateExecMemory Mem(*Prog);
+      ExecMemory Mem(*Prog);
       ExecContext Ctx;
       Ctx.pushFrame(*Prog->findFunction("main"));
       ExecStop Stop = runEngine(*Prog, Mem, Ctx, DefaultExecHooks());
@@ -270,6 +270,7 @@ BENCHMARK(BM_ModelProfileStageThreads)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_SelectionSweepPointCached(benchmark::State &State) {

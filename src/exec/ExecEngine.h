@@ -2,14 +2,15 @@
 ///
 /// \file
 /// The shared execution engine: one tight dispatch loop over the decoded
-/// instruction stream (exec/ExecProgram.h), parameterized over a memory
-/// model and a hook set so the three drivers stay thin:
+/// instruction stream (exec/ExecProgram.h) and one bounded memory model
+/// (ExecMemory), parameterized over a hook set so the three drivers stay
+/// thin:
 ///
-///   - sim/Interpreter: private growable memory, optional observer hooks
-///     (the profiler and the trace collector attach here);
-///   - runtime/ThreadedRuntime: a pre-sized shared arena, edge-watch hooks
-///     for loop entry/back-edge/exit detection and sync-op hooks for the
-///     Signal/Wait release/acquire protocol;
+///   - sim/Interpreter: optional observer hooks (the profiler and the
+///     trace collector attach here);
+///   - runtime/ThreadedRuntime: one memory shared by all workers, edge-watch
+///     hooks for loop entry/back-edge/exit detection and sync-op hooks for
+///     the Signal/Wait release/acquire protocol;
 ///   - differential tests and benches drive all of the above against the
 ///     retained tree-walk reference (sim/TreeWalkInterpreter.h).
 ///
@@ -21,12 +22,6 @@
 /// (fused cmp+condbr, add+load, add+store, sync pairs) execute both halves
 /// of a pair in one dispatch; every fused handler preserves the unfused
 /// engine's step accounting, observer ordering and trap points exactly.
-/// Dispatch is a portable switch by default; defining HELIX_COMPUTED_GOTO
-/// (CMake option of the same name) selects token-threaded dispatch via
-/// GCC/Clang computed goto — one jump table per handler so the branch
-/// predictor sees per-opcode history. Both modes share the handler bodies
-/// below; the flag is applied project-wide, so every translation unit
-/// instantiates the same definition.
 ///
 /// Registers live in one contiguous per-context register stack: a frame is
 /// just a window [RegBase, RegBase + NumRegs) and call/return slide the
@@ -136,7 +131,7 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Execution context and memory models
+// Execution context and memory
 //===----------------------------------------------------------------------===//
 
 /// Stack (Alloca) addresses live in a high range disjoint from the
@@ -145,8 +140,7 @@ inline constexpr uint64_t ExecStackBase = uint64_t(1) << 40;
 
 /// One thread of execution: a frame stack, the frame-windowed register
 /// file, and the private Alloca region. The globals+heap segment lives in
-/// the memory model (private to the context for sequential runs, shared
-/// across contexts for threaded ones).
+/// ExecMemory (one per run, shared by every context of a threaded run).
 ///
 /// Registers of all live frames sit back to back in RegStack; a frame's
 /// window is [RegBase, RegBase + F->NumRegs) and RegTop is the watermark
@@ -166,7 +160,7 @@ struct ExecContext {
   std::vector<Frame> Frames;
   std::vector<Value> RegStack; ///< frame-windowed register file
   uint64_t RegTop = 0;         ///< one past the innermost frame's window
-  std::vector<Value> Stack;    ///< alloca region
+  std::vector<Value> Stack;    ///< alloca region, < MaxStackWords slots
   uint64_t StackPtr = 0;
   Value Returned;
   std::string Error;
@@ -213,79 +207,69 @@ struct ExecContext {
   }
 };
 
-/// Growable private memory of a sequential execution. Loads outside the
-/// populated region read zero; stores extend it (geometrically, so an
-/// ascending store pattern re-copies O(log n) times, not per store).
-class PrivateExecMemory {
+/// The globals+heap segment of one execution, shared by every context that
+/// runs it: a sequential driver's one context, or a threaded run's main
+/// context and workers. One anonymous lazily zeroed reservation of
+/// ExecLimits::MaxMemoryWords slots — the kernel supplies zero pages on
+/// first touch, so a run pays for the pages it uses, never for the cap,
+/// and the segment never moves, so worker threads never race a
+/// reallocation. Globals are initialised in place; the heap is an atomic
+/// bump pointer.
+class ExecMemory {
 public:
-  explicit PrivateExecMemory(const ExecProgram &P) {
-    Low.assign(P.globalEnd(), Value());
-    P.initGlobals(Low);
-    HeapPtr = P.globalEnd();
-  }
+  explicit ExecMemory(const ExecProgram &P);
+  ~ExecMemory();
+  ExecMemory(const ExecMemory &) = delete;
+  ExecMemory &operator=(const ExecMemory &) = delete;
 
-  Value load(uint64_t Addr) const {
-    return Addr < Low.size() ? Low[Addr] : Value();
-  }
-  void store(uint64_t Addr, Value V) {
-    if (HELIX_UNLIKELY(Addr >= Low.size()))
-      grow(Addr + 1);
-    Low[Addr] = V;
-  }
+  /// Empty when the segment is usable; otherwise why it could not be set
+  /// up. A driver then fails the run with this message instead of running.
+  const std::string &error() const { return Error; }
+
+  /// Slot \p Addr, which must lie below ExecLimits::MaxMemoryWords.
+  Value *word(uint64_t Addr) { return Words + Addr; }
+
+  /// Bumps the heap by \p N > 0 slots. \returns the base, or 0 (never a
+  /// heap address: address 0 is reserved) when the allocation would cross
+  /// the cap. The heap pointer itself never passes the cap, so repeated
+  /// failed allocations cannot wrap it.
   uint64_t heapAlloc(uint64_t N) {
-    uint64_t Base = HeapPtr;
-    HeapPtr += N;
-    if (Low.size() < HeapPtr)
-      grow(HeapPtr);
+    uint64_t Base = HeapPtr.load();
+    do {
+      if (N > ExecLimits::MaxMemoryWords - Base)
+        return 0;
+    } while (!HeapPtr.compare_exchange_weak(Base, Base + N));
     return Base;
   }
-
-  std::vector<Value> Low; ///< globals + heap
-  uint64_t HeapPtr = 0;
 
 private:
-  void grow(uint64_t Needed) {
-    uint64_t NewSize = std::max<uint64_t>(64, Low.size());
-    while (NewSize < Needed)
-      NewSize *= 2;
-    Low.resize(size_t(NewSize));
-  }
-};
-
-/// Shared program memory of a threaded execution: globals + heap in one
-/// pre-sized arena (so worker threads never race a reallocation), with an
-/// atomic heap bump allocator. Per-context stacks live elsewhere.
-class SharedExecMemory {
-public:
-  explicit SharedExecMemory(const ExecProgram &P,
-                            uint64_t HeapHeadroom = uint64_t(1) << 22) {
-    Low.assign(P.globalEnd() + HeapHeadroom, Value());
-    P.initGlobals(Low);
-    HeapPtr.store(P.globalEnd(), std::memory_order_relaxed);
-  }
-
-  Value load(uint64_t Addr) const {
-    return Addr < Low.size() ? Low[Addr] : Value();
-  }
-  void store(uint64_t Addr, Value V) {
-    if (Addr >= Low.size())
-      reportFatalError("threaded runtime store out of arena");
-    Low[Addr] = V;
-  }
-  uint64_t heapAlloc(uint64_t N) {
-    uint64_t Base = HeapPtr.fetch_add(N);
-    if (Base + N > Low.size())
-      reportFatalError("threaded runtime heap exhausted");
-    return Base;
-  }
-
-  std::vector<Value> Low;
+  Value *Words = nullptr;
   std::atomic<uint64_t> HeapPtr{0};
-  /// Set by any context that hit the step cap, so the final ExecResult can
-  /// report budget exhaustion structurally even when the failing context
-  /// was a worker whose message is summarized away.
-  std::atomic<bool> BudgetExhausted{false};
+  std::string Error;
 };
+
+/// Routes address \p A (positive) of context \p Ctx to its slot: the
+/// context's alloca region at and above ExecStackBase, \p Mem's
+/// globals+heap segment below. \returns null past the region's cap, and —
+/// unless \p Grow — past the alloca region's current end too; a load reads
+/// 0 there, a store traps. With \p Grow (stores) the alloca region is
+/// extended up to \p A.
+inline Value *execSlot(ExecMemory &Mem, ExecContext &Ctx, uint64_t A,
+                       bool Grow) {
+  static_assert(ExecLimits::MaxMemoryWords <= ExecStackBase,
+                "the globals+heap segment must end below the alloca region");
+  if (HELIX_LIKELY(A < ExecLimits::MaxMemoryWords))
+    return Mem.word(A);
+  if (A < ExecStackBase)
+    return nullptr;
+  uint64_t Idx = A - ExecStackBase;
+  if (Idx >= Ctx.Stack.size()) {
+    if (!Grow || Idx >= ExecLimits::MaxStackWords)
+      return nullptr;
+    Ctx.Stack.resize(Idx + 1);
+  }
+  return &Ctx.Stack[Idx];
+}
 
 //===----------------------------------------------------------------------===//
 // Hooks
@@ -354,34 +338,12 @@ struct ObserverExecHooks : DefaultExecHooks {
 // The dispatch loop
 //===----------------------------------------------------------------------===//
 
-// Both dispatch modes share every handler body below; only how control
-// reaches a handler differs. Handlers exit with `goto step_done` (ordinary
-// instruction: post-report, PC+1), `goto dispatch` (control transfer, PC
-// already set) or `goto reframe` (call/return: re-derive cached frame
-// state) — all three labels are ordinary labels valid in both modes.
-#if defined(HELIX_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-#define HELIX_ENGINE_THREADED 1
-#define HELIX_DISPATCH_BEGIN(KEY) goto *JumpTable[uint8_t(KEY)];
-#define HELIX_CASE(N) xop_##N:
-#define HELIX_DISPATCH_END()
-#else
-#define HELIX_ENGINE_THREADED 0
-#define HELIX_DISPATCH_BEGIN(KEY) switch (KEY) {
-#define HELIX_CASE(N) case XOpcode::N:
-// Every dispatch key is covered above: telling the optimizer so deletes
-// the jump-table bounds check from the hottest branch in the process.
-#define HELIX_DISPATCH_END()                                                   \
-  default:                                                                     \
-    assert(!"invalid dispatch key");                                           \
-    HELIX_UNREACHABLE_HINT();                                                  \
-    }
-#endif
-
 /// Runs \p Ctx until its base frame returns, a hook stops it, or it traps.
-/// The context must have at least one frame. Instantiated per
-/// (memory model, hook set) pair so unwanted observation costs nothing.
-template <typename MemoryT, typename HooksT>
-ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
+/// The context must have at least one frame, and \p Mem must be usable
+/// (empty error()). Instantiated per hook set so unwanted observation costs
+/// nothing.
+template <typename HooksT>
+ExecStop runEngine(const ExecProgram &P, ExecMemory &Mem, ExecContext &Ctx,
                    HooksT &&Hooks) {
   using HT = std::remove_reference_t<HooksT>;
   const Value *Consts = P.constants().data();
@@ -422,14 +384,6 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
     Ctx.Cycles = Cycles;
     Ctx.StepsFused = StepsFused;
   };
-
-#if HELIX_ENGINE_THREADED
-  static const void *const JumpTable[NumXOpcodes] = {
-#define HELIX_LABEL_ADDR(N) &&xop_##N,
-      HELIX_XOPCODE_LIST(HELIX_LABEL_ADDR)
-#undef HELIX_LABEL_ADDR
-  };
-#endif
 
   while (!Ctx.Frames.empty()) {
     // Cache the hot frame state; re-acquired after every frame change.
@@ -515,171 +469,170 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
     {
       const DecodedInst &I = *Ip;
 
-      HELIX_DISPATCH_BEGIN(I.X)
+      // Handlers exit with `goto step_done` (ordinary instruction:
+      // post-report, PC+1), `goto dispatch` (control transfer, PC already
+      // set) or `goto reframe` (call/return: re-derive cached frame state).
+      switch (I.X) {
 
-      HELIX_CASE(Add)
+      case XOpcode::Add:
       Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt()) +
                                           uint64_t(Val(I.Ops[1]).asInt())));
       goto step_done;
-      HELIX_CASE(Sub)
+      case XOpcode::Sub:
       Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt()) -
                                           uint64_t(Val(I.Ops[1]).asInt())));
       goto step_done;
-      HELIX_CASE(Mul)
+      case XOpcode::Mul:
       Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt()) *
                                           uint64_t(Val(I.Ops[1]).asInt())));
       goto step_done;
-      HELIX_CASE(Div) {
+      case XOpcode::Div: {
         int64_t B = Val(I.Ops[1]).asInt();
         if (B == 0)
           return Trap(Ip, "integer division by zero");
         Regs[I.Dest] = Value::ofInt(Val(I.Ops[0]).asInt() / B);
         goto step_done;
       }
-      HELIX_CASE(Rem) {
+      case XOpcode::Rem: {
         int64_t B = Val(I.Ops[1]).asInt();
         if (B == 0)
           return Trap(Ip, "integer remainder by zero");
         Regs[I.Dest] = Value::ofInt(Val(I.Ops[0]).asInt() % B);
         goto step_done;
       }
-      HELIX_CASE(And)
+      case XOpcode::And:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asInt() & Val(I.Ops[1]).asInt());
       goto step_done;
-      HELIX_CASE(Or)
+      case XOpcode::Or:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asInt() | Val(I.Ops[1]).asInt());
       goto step_done;
-      HELIX_CASE(Xor)
+      case XOpcode::Xor:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asInt() ^ Val(I.Ops[1]).asInt());
       goto step_done;
-      HELIX_CASE(Shl)
+      case XOpcode::Shl:
       Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt())
                                           << (Val(I.Ops[1]).asInt() & 63)));
       goto step_done;
-      HELIX_CASE(Shr)
+      case XOpcode::Shr:
       Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt()) >>
                                           (Val(I.Ops[1]).asInt() & 63)));
       goto step_done;
-      HELIX_CASE(FAdd)
+      case XOpcode::FAdd:
       Regs[I.Dest] =
           Value::ofFloat(Val(I.Ops[0]).asFloat() + Val(I.Ops[1]).asFloat());
       goto step_done;
-      HELIX_CASE(FSub)
+      case XOpcode::FSub:
       Regs[I.Dest] =
           Value::ofFloat(Val(I.Ops[0]).asFloat() - Val(I.Ops[1]).asFloat());
       goto step_done;
-      HELIX_CASE(FMul)
+      case XOpcode::FMul:
       Regs[I.Dest] =
           Value::ofFloat(Val(I.Ops[0]).asFloat() * Val(I.Ops[1]).asFloat());
       goto step_done;
-      HELIX_CASE(FDiv)
+      case XOpcode::FDiv:
       Regs[I.Dest] =
           Value::ofFloat(Val(I.Ops[0]).asFloat() / Val(I.Ops[1]).asFloat());
       goto step_done;
-      HELIX_CASE(IntToFP)
+      case XOpcode::IntToFP:
       Regs[I.Dest] = Value::ofFloat(Val(I.Ops[0]).asFloat());
       goto step_done;
-      HELIX_CASE(FPToInt)
+      case XOpcode::FPToInt:
       Regs[I.Dest] = Value::ofInt(Val(I.Ops[0]).asInt());
       goto step_done;
-      HELIX_CASE(CmpEQ)
+      case XOpcode::CmpEQ:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asInt() == Val(I.Ops[1]).asInt());
       goto step_done;
-      HELIX_CASE(CmpNE)
+      case XOpcode::CmpNE:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asInt() != Val(I.Ops[1]).asInt());
       goto step_done;
-      HELIX_CASE(CmpLT)
+      case XOpcode::CmpLT:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asInt() < Val(I.Ops[1]).asInt());
       goto step_done;
-      HELIX_CASE(CmpLE)
+      case XOpcode::CmpLE:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asInt() <= Val(I.Ops[1]).asInt());
       goto step_done;
-      HELIX_CASE(CmpGT)
+      case XOpcode::CmpGT:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asInt() > Val(I.Ops[1]).asInt());
       goto step_done;
-      HELIX_CASE(CmpGE)
+      case XOpcode::CmpGE:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asInt() >= Val(I.Ops[1]).asInt());
       goto step_done;
-      HELIX_CASE(FCmpEQ)
+      case XOpcode::FCmpEQ:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asFloat() == Val(I.Ops[1]).asFloat());
       goto step_done;
-      HELIX_CASE(FCmpNE)
+      case XOpcode::FCmpNE:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asFloat() != Val(I.Ops[1]).asFloat());
       goto step_done;
-      HELIX_CASE(FCmpLT)
+      case XOpcode::FCmpLT:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asFloat() < Val(I.Ops[1]).asFloat());
       goto step_done;
-      HELIX_CASE(FCmpLE)
+      case XOpcode::FCmpLE:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asFloat() <= Val(I.Ops[1]).asFloat());
       goto step_done;
-      HELIX_CASE(FCmpGT)
+      case XOpcode::FCmpGT:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asFloat() > Val(I.Ops[1]).asFloat());
       goto step_done;
-      HELIX_CASE(FCmpGE)
+      case XOpcode::FCmpGE:
       Regs[I.Dest] =
           Value::ofInt(Val(I.Ops[0]).asFloat() >= Val(I.Ops[1]).asFloat());
       goto step_done;
-      HELIX_CASE(Mov)
+      case XOpcode::Mov:
       Regs[I.Dest] = Val(I.Ops[0]);
       goto step_done;
-      HELIX_CASE(Load) {
+      case XOpcode::Load: {
         int64_t Addr = Val(I.Ops[0]).asInt();
         if (Addr <= 0)
           return Trap(Ip, "load from null/negative address");
-        uint64_t A = uint64_t(Addr);
-        if (A >= ExecStackBase) {
-          uint64_t Idx = A - ExecStackBase;
-          Regs[I.Dest] = Idx < Ctx.Stack.size() ? Ctx.Stack[Idx] : Value();
-        } else {
-          Regs[I.Dest] = Mem.load(A);
-        }
+        const Value *S = execSlot(Mem, Ctx, uint64_t(Addr), false);
+        Regs[I.Dest] = S ? *S : Value();
         goto step_done;
       }
-      HELIX_CASE(Store) {
+      case XOpcode::Store: {
         int64_t Addr = Val(I.Ops[1]).asInt();
         if (Addr <= 0)
           return Trap(Ip, "store to null/negative address");
-        uint64_t A = uint64_t(Addr);
-        if (A >= ExecStackBase) {
-          uint64_t Idx = A - ExecStackBase;
-          if (Idx >= Ctx.Stack.size())
-            Ctx.Stack.resize(Idx + 1);
-          Ctx.Stack[Idx] = Val(I.Ops[0]);
-        } else {
-          Mem.store(A, Val(I.Ops[0]));
-        }
+        Value *S = execSlot(Mem, Ctx, uint64_t(Addr), true);
+        if (HELIX_UNLIKELY(!S))
+          return Trap(Ip, ExecLimits::StorePastCap);
+        *S = Val(I.Ops[0]);
         goto step_done;
       }
-      HELIX_CASE(Alloca) {
+      case XOpcode::Alloca: {
         uint64_t Base = ExecStackBase + Ctx.StackPtr;
+        if (HELIX_UNLIKELY(uint64_t(I.Imm) >
+                           ExecLimits::MaxStackWords - Ctx.StackPtr))
+          return Trap(Ip, ExecLimits::AllocaPastCap);
         Ctx.StackPtr += uint64_t(I.Imm);
         if (Ctx.Stack.size() < Ctx.StackPtr)
           Ctx.Stack.resize(Ctx.StackPtr);
         Regs[I.Dest] = Value::ofInt(int64_t(Base));
         goto step_done;
       }
-      HELIX_CASE(HeapAlloc) {
+      case XOpcode::HeapAlloc: {
         int64_t N = Val(I.Ops[0]).asInt();
         if (N <= 0)
           return Trap(Ip, "heap allocation of non-positive size");
-        Regs[I.Dest] = Value::ofInt(int64_t(Mem.heapAlloc(uint64_t(N))));
+        uint64_t Base = Mem.heapAlloc(uint64_t(N));
+        if (HELIX_UNLIKELY(Base == 0))
+          return Trap(Ip, ExecLimits::HeapPastCap);
+        Regs[I.Dest] = Value::ofInt(int64_t(Base));
         goto step_done;
       }
-      HELIX_CASE(Br) {
+      case XOpcode::Br: {
         Account(Ip + 1); // the branch itself is charged, taken or stopped
         if constexpr (HT::WantsInstruction)
           Hooks.onInstruction(DF->SrcOf[PCOf(Ip)], I.Cycles);
@@ -694,7 +647,7 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
         Reseg(I.Succ1);
         goto dispatch;
       }
-      HELIX_CASE(CondBr) {
+      case XOpcode::CondBr: {
         Account(Ip + 1);
         if constexpr (HT::WantsInstruction)
           Hooks.onInstruction(DF->SrcOf[PCOf(Ip)], I.Cycles);
@@ -710,7 +663,7 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
         Reseg(Target);
         goto dispatch;
       }
-      HELIX_CASE(Call) {
+      case XOpcode::Call: {
         Account(Ip + 1);
         if constexpr (HT::WantsInstruction)
           Hooks.onInstruction(DF->SrcOf[PCOf(Ip)], I.Cycles);
@@ -735,7 +688,7 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
         Ctx.Frames.push_back(NewFr);
         goto reframe;
       }
-      HELIX_CASE(Ret) {
+      case XOpcode::Ret: {
         Account(Ip + 1);
         if constexpr (HT::WantsInstruction)
           Hooks.onInstruction(DF->SrcOf[PCOf(Ip)], I.Cycles);
@@ -754,9 +707,9 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
           Ctx.frameRegs(Ctx.Frames.back())[DestReg] = RV;
         goto reframe;
       }
-      HELIX_CASE(Wait)
-      HELIX_CASE(SignalOp)
-      HELIX_CASE(IterStart)
+      case XOpcode::Wait:
+      case XOpcode::SignalOp:
+      case XOpcode::IterStart:
       // Sequentially these are no-ops; the threaded driver's hooks give
       // them their synchronization semantics.
       if (!Hooks.sync(I, DF->SrcOf[PCOf(Ip)])) {
@@ -768,10 +721,10 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
         return ExecStop::Abandoned;
       }
       goto step_done;
-      HELIX_CASE(MemFence)
+      case XOpcode::MemFence:
       Hooks.fence();
       goto step_done;
-      HELIX_CASE(Nop)
+      case XOpcode::Nop:
       goto step_done;
 
       // --- Fused superinstructions ---------------------------------------
@@ -791,7 +744,7 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
     return BudgetStop(Ip + 1);
 
 #define HELIX_CMPBR_CASE(N, ACC, OP)                                           \
-  HELIX_CASE(N) {                                                              \
+  case XOpcode::N: {                                                           \
     bool Cond = Val(I.Ops[0]).ACC() OP Val(I.Ops[1]).ACC();                    \
     Regs[I.Dest] = Value::ofInt(Cond); /* may be live across the branch */     \
     if constexpr (HT::WantsInstruction)                                        \
@@ -829,7 +782,7 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
       HELIX_CMPBR_CASE(FCmpGEBr, asFloat, >=)
 #undef HELIX_CMPBR_CASE
 
-      HELIX_CASE(AddLoad) {
+      case XOpcode::AddLoad: {
         uint64_t Sum =
             uint64_t(Val(I.Ops[0]).asInt()) + uint64_t(Val(I.Ops[1]).asInt());
         Regs[I.Dest] = Value::ofInt(int64_t(Sum));
@@ -838,22 +791,16 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
         HELIX_FUSED_TAIL_BUDGET_CHECK()
         const DecodedInst &T = Ip[1];
         StepsFused += 2;
-        int64_t Addr = int64_t(Sum);
-        if (Addr <= 0)
+        if (int64_t(Sum) <= 0)
           return Trap(Ip + 1, "load from null/negative address");
-        uint64_t A = uint64_t(Addr);
-        if (A >= ExecStackBase) {
-          uint64_t Idx = A - ExecStackBase;
-          Regs[T.Dest] = Idx < Ctx.Stack.size() ? Ctx.Stack[Idx] : Value();
-        } else {
-          Regs[T.Dest] = Mem.load(A);
-        }
+        const Value *S = execSlot(Mem, Ctx, Sum, false);
+        Regs[T.Dest] = S ? *S : Value();
         if constexpr (HT::WantsInstruction)
           Hooks.onInstruction(DF->SrcOf[PCOf(Ip) + 1], T.Cycles);
         Ip += 2;
         goto dispatch;
       }
-      HELIX_CASE(AddStore) {
+      case XOpcode::AddStore: {
         uint64_t Sum =
             uint64_t(Val(I.Ops[0]).asInt()) + uint64_t(Val(I.Ops[1]).asInt());
         // Write the sum before reading the store value: the stored operand
@@ -864,24 +811,18 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
         HELIX_FUSED_TAIL_BUDGET_CHECK()
         const DecodedInst &T = Ip[1];
         StepsFused += 2;
-        int64_t Addr = int64_t(Sum);
-        if (Addr <= 0)
+        if (int64_t(Sum) <= 0)
           return Trap(Ip + 1, "store to null/negative address");
-        uint64_t A = uint64_t(Addr);
-        if (A >= ExecStackBase) {
-          uint64_t Idx = A - ExecStackBase;
-          if (Idx >= Ctx.Stack.size())
-            Ctx.Stack.resize(Idx + 1);
-          Ctx.Stack[Idx] = Val(T.Ops[0]);
-        } else {
-          Mem.store(A, Val(T.Ops[0]));
-        }
+        Value *S = execSlot(Mem, Ctx, Sum, true);
+        if (HELIX_UNLIKELY(!S))
+          return Trap(Ip + 1, ExecLimits::StorePastCap);
+        *S = Val(T.Ops[0]);
         if constexpr (HT::WantsInstruction)
           Hooks.onInstruction(DF->SrcOf[PCOf(Ip) + 1], T.Cycles);
         Ip += 2;
         goto dispatch;
       }
-      HELIX_CASE(SyncPair) {
+      case XOpcode::SyncPair: {
         if (!Hooks.sync(I, DF->SrcOf[PCOf(Ip)])) {
           Account(Ip + 1); // head abandoned: only its step was spent
           Fr.PC = PCOf(Ip);
@@ -920,7 +861,7 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
 #define HELIX_ALU_Shr(A, B) int64_t(uint64_t(A) >> ((B) & 63))
 
 #define HELIX_ALUPAIR_CASE(HD, TL)                                             \
-  HELIX_CASE(HD##TL) {                                                         \
+  case XOpcode::HD##TL: {                                                      \
     Regs[I.Dest] = Value::ofInt(                                               \
         HELIX_ALU_##HD(Val(I.Ops[0]).asInt(), Val(I.Ops[1]).asInt()));         \
     if constexpr (HT::WantsInstruction)                                        \
@@ -956,7 +897,13 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
 #undef HELIX_ALUPAIR_CASE_ROW
 #undef HELIX_ALUPAIR_CASE
 
-      HELIX_DISPATCH_END()
+      // Every dispatch key is covered above: telling the optimizer so
+      // deletes the jump-table bounds check from the hottest branch in the
+      // process.
+      default:
+        assert(!"invalid dispatch key");
+        HELIX_UNREACHABLE_HINT();
+      }
 
     step_done:
       if constexpr (HT::WantsInstruction)
@@ -979,10 +926,6 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
 #undef HELIX_ALU_Shl
 #undef HELIX_ALU_Shr
 #undef HELIX_FUSED_TAIL_BUDGET_CHECK
-#undef HELIX_DISPATCH_BEGIN
-#undef HELIX_CASE
-#undef HELIX_DISPATCH_END
-#undef HELIX_ENGINE_THREADED
 
 } // namespace helix
 

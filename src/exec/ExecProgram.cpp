@@ -280,8 +280,7 @@ ExecProgram::findFunction(const std::string &Name) const {
   return F ? function(F) : nullptr;
 }
 
-void ExecProgram::initGlobals(std::vector<Value> &Low) const {
-  assert(Low.size() >= globalEnd() && "arena smaller than the global segment");
+void ExecProgram::initGlobals(Value *Low) const {
   for (unsigned I = 0, E = M->numGlobals(); I != E; ++I) {
     const GlobalVariable &G = M->global(I);
     for (size_t K = 0; K != G.Init.size(); ++K)

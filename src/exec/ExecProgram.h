@@ -61,8 +61,7 @@ inline constexpr OperandRef ConstOperandBit = OperandRef(1) << 31;
 
 /// The dispatch keys of the engine: every Opcode (numerically mirrored, so
 /// an unfused instruction's key is just its opcode) plus the fused
-/// superinstructions decode synthesizes. The X-macro also generates the
-/// computed-goto jump table in ExecEngine.h — keep the two lists and the
+/// superinstructions decode synthesizes. Keep the plain list and the
 /// Opcode enum order in lock step.
 #define HELIX_XOPCODE_PLAIN_LIST(X)                                            \
   X(Add) X(Sub) X(Mul) X(Div) X(Rem) X(And) X(Or) X(Xor) X(Shl) X(Shr)         \
@@ -104,14 +103,6 @@ enum class XOpcode : uint8_t {
   HELIX_XOPCODE_LIST(HELIX_DEFINE_XOPCODE)
 #undef HELIX_DEFINE_XOPCODE
 };
-
-inline constexpr unsigned NumXOpcodes = []() constexpr {
-  unsigned N = 0;
-#define HELIX_COUNT_XOPCODE(X) ++N;
-  HELIX_XOPCODE_LIST(HELIX_COUNT_XOPCODE)
-#undef HELIX_COUNT_XOPCODE
-  return N;
-}();
 
 /// The plain block mirrors Opcode numerically: XOpcode(uint8_t(Op)) is the
 /// unfused dispatch key of Op.
@@ -282,8 +273,8 @@ public:
   /// One past the last global slot == the initial heap pointer.
   uint64_t globalEnd() const { return Body->GlobalEnd; }
   /// Writes the global initializers into \p Low (which must have at least
-  /// globalEnd() slots).
-  void initGlobals(std::vector<Value> &Low) const;
+  /// globalEnd() zeroed slots).
+  void initGlobals(Value *Low) const;
 
   const std::vector<Value> &constants() const { return Body->Consts; }
 

@@ -1,5 +1,6 @@
 #include "helix/Inliner.h"
 
+#include "analysis/Liveness.h"
 #include "support/Compiler.h"
 
 #include <map>
@@ -90,6 +91,23 @@ bool helix::inlineCall(Function *Caller, Instruction *Call) {
     Instruction *Mov = CallBB->append(Opcode::Mov);
     Mov->addOperand(Args[K]);
     Mov->setDest(MapReg(K)); // parameter K occupies callee register K
+  }
+  // A real call starts from a zeroed register window; the inlined copy
+  // must too, or a callee register read before it is written would see
+  // its value from the previous trip through this call site. Only
+  // registers live at callee entry can be read that way, so only those
+  // (beyond the parameters) get a zero.
+  {
+    CFGInfo CalleeCFG(Callee);
+    Liveness CalleeLV(Callee, CalleeCFG);
+    const BitSet &LiveIn = CalleeLV.liveIn(Callee->entry());
+    for (unsigned R = unsigned(Args.size()); R < LiveIn.size(); ++R) {
+      if (!LiveIn.test(R))
+        continue;
+      Instruction *Mov = CallBB->append(Opcode::Mov);
+      Mov->addOperand(Operand::immInt(0));
+      Mov->setDest(MapReg(R));
+    }
   }
   Instruction *Br = CallBB->append(Opcode::Br);
   Br->setTarget1(CalleeEntry);

@@ -145,10 +145,13 @@ struct LoopEntryHooks : DefaultExecHooks {
 };
 
 /// Runs iterations Worker, Worker+N, ... of one invocation over the
-/// decoded program.
-void workerMain(const ExecProgram &Prog, SharedExecMemory &Mem,
-                Invocation &Inv, const std::vector<Value> &Snapshot,
-                unsigned Worker, unsigned NumThreads, uint64_t MaxSteps) {
+/// decoded program. A worker that hits the step cap sets \p BudgetExhausted,
+/// so the run's result reports budget exhaustion structurally even though
+/// the failing worker's message is summarized away.
+void workerMain(const ExecProgram &Prog, ExecMemory &Mem, Invocation &Inv,
+                const std::vector<Value> &Snapshot, unsigned Worker,
+                unsigned NumThreads, uint64_t MaxSteps,
+                std::atomic<bool> &BudgetExhausted) {
   const ParallelLoopInfo *PLI = Inv.PLI;
   const DecodedFunction *DF = Prog.function(PLI->F);
   assert(DF && "parallel loop in an undecoded function");
@@ -198,7 +201,7 @@ void workerMain(const ExecProgram &Prog, SharedExecMemory &Mem,
     ExecStop R = runEngine(Prog, Mem, Ctx, Hooks);
 
     if (Ctx.BudgetExhausted)
-      Mem.BudgetExhausted.store(true, std::memory_order_relaxed);
+      BudgetExhausted.store(true, std::memory_order_relaxed);
     if (R == ExecStop::Abandoned)
       return; // dead iteration past the exit (or after a failure)
     if (R == ExecStop::Trapped || R == ExecStop::Returned) {
@@ -233,13 +236,18 @@ ExecResult helix::runThreaded(
     unsigned NumThreads, RuntimeStats *Stats, uint64_t MaxSteps) {
   ExecResult Result;
   std::shared_ptr<const ExecProgram> Prog = DecodeCache::global().get(M);
-  SharedExecMemory Mem(*Prog);
   uint64_t StepCap = MaxSteps ? MaxSteps : ExecLimits::DefaultMaxSteps;
   RuntimeStats LocalStats;
+  std::atomic<bool> BudgetExhausted{false};
 
   const DecodedFunction *Main = Prog->findFunction("main");
   if (!Main) {
     Result.Error = "no @main";
+    return Result;
+  }
+  ExecMemory Mem(*Prog);
+  if (!Mem.error().empty()) {
+    Result.Error = Mem.error();
     return Result;
   }
 
@@ -252,7 +260,7 @@ ExecResult helix::runThreaded(
     ExecStop R = runEngine(*Prog, Mem, Ctx, Hooks);
 
     if (Ctx.BudgetExhausted)
-      Mem.BudgetExhausted.store(true, std::memory_order_relaxed);
+      BudgetExhausted.store(true, std::memory_order_relaxed);
     if (R == ExecStop::Returned) {
       Result.Ok = true;
       Result.ReturnValue = Ctx.Returned;
@@ -284,7 +292,7 @@ ExecResult helix::runThreaded(
       for (unsigned W = 0; W != NumThreads; ++W)
         Workers.emplace_back(workerMain, std::cref(*Prog), std::ref(Mem),
                              std::ref(Inv), std::cref(Snapshot), W,
-                             NumThreads, StepCap);
+                             NumThreads, StepCap, std::ref(BudgetExhausted));
       for (std::thread &T : Workers)
         T.join();
     }
@@ -305,7 +313,7 @@ ExecResult helix::runThreaded(
     Fr.PC = Fr.F->startOf(Inv.ExitBlock);
   }
 
-  Result.BudgetExhausted = Mem.BudgetExhausted.load();
+  Result.BudgetExhausted = BudgetExhausted.load();
   if (Stats)
     *Stats = LocalStats;
   return Result;

@@ -44,25 +44,6 @@ Value Interpreter::regValue(unsigned Reg) const {
   return Ctx.frameRegs(Fr)[Reg];
 }
 
-Value Interpreter::loadSlot(uint64_t Addr) const {
-  if (Addr >= ExecStackBase) {
-    uint64_t Idx = Addr - ExecStackBase;
-    return Idx < Ctx.Stack.size() ? Ctx.Stack[Idx] : Value();
-  }
-  return Mem.load(Addr);
-}
-
-void Interpreter::storeSlot(uint64_t Addr, Value V) {
-  if (Addr >= ExecStackBase) {
-    uint64_t Idx = Addr - ExecStackBase;
-    if (Idx >= Ctx.Stack.size())
-      Ctx.Stack.resize(Idx + 1);
-    Ctx.Stack[Idx] = V;
-    return;
-  }
-  Mem.store(Addr, V);
-}
-
 ExecResult Interpreter::run(const std::string &Name,
                             const std::vector<Value> &Args) {
   ExecResult R;
@@ -74,6 +55,10 @@ ExecResult Interpreter::run(const std::string &Name,
   }
   if (Args.size() != DF->NumParams) {
     R.Error = "argument count mismatch for @" + Name;
+    return R;
+  }
+  if (!Mem.error().empty()) {
+    R.Error = Mem.error();
     return R;
   }
 

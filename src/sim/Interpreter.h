@@ -33,7 +33,8 @@ namespace helix {
 /// Interprets a module over the decoded program representation. Memory
 /// layout: address 0 is reserved; globals get consecutive base addresses
 /// from 1; the heap grows after the globals; stack (Alloca) addresses live
-/// in a disjoint high range.
+/// in a disjoint high range. Both regions are capped (ExecLimits); the
+/// memory persists across run() calls.
 class Interpreter : public ExecState {
 public:
   /// Decodes \p M (or reuses the process-wide decode cache). The module
@@ -61,10 +62,6 @@ public:
     return Prog->globalBase(Idx);
   }
 
-  /// Direct memory access (used by tests to inspect final state).
-  Value loadSlot(uint64_t Addr) const;
-  void storeSlot(uint64_t Addr, Value V);
-
   /// Reads register \p Reg of the current frame.
   Value regValue(unsigned Reg) const;
 
@@ -80,7 +77,7 @@ private:
   Module *M;
   std::shared_ptr<const ExecProgram> Prog;
   std::shared_ptr<const ExecProgram> UnfusedProg;
-  PrivateExecMemory Mem;
+  ExecMemory Mem;
   ExecContext Ctx;
   ExecObserver *Obs = nullptr;
   uint64_t MaxInstructions = ExecLimits::DefaultMaxSteps;

@@ -14,6 +14,10 @@ TreeWalkInterpreter::TreeWalkInterpreter(Module &M) : M(M) {
     Next += M.global(I).Size;
   }
   HeapPtr = Next;
+  if (Next > ExecLimits::MaxMemoryWords) {
+    GlobalsPastCap = true;
+    return;
+  }
   Low.assign(Next, Value());
   for (unsigned I = 0, E = M.numGlobals(); I != E; ++I) {
     const GlobalVariable &G = M.global(I);
@@ -45,17 +49,22 @@ Value TreeWalkInterpreter::loadSlot(uint64_t Addr) const {
   return Addr < Low.size() ? Low[Addr] : Value();
 }
 
-void TreeWalkInterpreter::storeSlot(uint64_t Addr, Value V) {
+bool TreeWalkInterpreter::storeSlot(uint64_t Addr, Value V) {
   if (Addr >= ExecStackBase) {
     uint64_t Idx = Addr - ExecStackBase;
+    if (Idx >= ExecLimits::MaxStackWords)
+      return false;
     if (Idx >= Stack.size())
       Stack.resize(Idx + 1);
     Stack[Idx] = V;
-    return;
+    return true;
   }
+  if (Addr >= ExecLimits::MaxMemoryWords)
+    return false;
   if (Addr >= Low.size())
     Low.resize(Addr + 1);
   Low[Addr] = V;
+  return true;
 }
 
 Value TreeWalkInterpreter::evalOperand(const Frame &Fr,
@@ -84,6 +93,10 @@ ExecResult TreeWalkInterpreter::run(const std::string &Name,
   }
   if (Args.size() != F->numParams()) {
     R.Error = "argument count mismatch for @" + Name;
+    return R;
+  }
+  if (GlobalsPastCap) {
+    R.Error = ExecLimits::GlobalsPastCap;
     return R;
   }
 
@@ -270,11 +283,14 @@ bool TreeWalkInterpreter::step(ExecResult &R) {
     int64_t Addr = Val(1).asInt();
     if (Addr <= 0)
       return Fail("store to null/negative address");
-    storeSlot(uint64_t(Addr), Val(0));
+    if (!storeSlot(uint64_t(Addr), Val(0)))
+      return Fail(ExecLimits::StorePastCap);
     break;
   }
   case Opcode::Alloca: {
     uint64_t Base = ExecStackBase + StackPtr;
+    if (uint64_t(I->imm()) > ExecLimits::MaxStackWords - StackPtr)
+      return Fail(ExecLimits::AllocaPastCap);
     StackPtr += uint64_t(I->imm());
     if (Stack.size() < StackPtr)
       Stack.resize(StackPtr);
@@ -285,6 +301,8 @@ bool TreeWalkInterpreter::step(ExecResult &R) {
     int64_t N = Val(0).asInt();
     if (N <= 0)
       return Fail("heap allocation of non-positive size");
+    if (uint64_t(N) > ExecLimits::MaxMemoryWords - HeapPtr)
+      return Fail(ExecLimits::HeapPastCap);
     uint64_t Base = HeapPtr;
     HeapPtr += uint64_t(N);
     if (Low.size() < HeapPtr)

@@ -31,9 +31,10 @@
 
 namespace helix {
 
-/// Interprets a module by walking the IR tree. Memory layout is identical
-/// to the decoded engine's: address 0 reserved, globals from 1, heap after
-/// the globals, stack (Alloca) addresses in a disjoint high range.
+/// Interprets a module by walking the IR tree. Memory layout, caps and cap
+/// traps are identical to the decoded engine's: address 0 reserved, globals
+/// from 1, heap after the globals, stack (Alloca) addresses in a disjoint
+/// high range, both regions bounded by ExecLimits.
 class TreeWalkInterpreter : public ExecState {
 public:
   explicit TreeWalkInterpreter(Module &M);
@@ -51,10 +52,6 @@ public:
   Value operandValue(const Operand &O) const override;
   uint64_t globalBase(unsigned Idx) const override { return GlobalBase[Idx]; }
 
-  /// Direct memory access (used by tests to inspect final state).
-  Value loadSlot(uint64_t Addr) const;
-  void storeSlot(uint64_t Addr, Value V);
-
   /// Reads register \p Reg of the current frame.
   Value regValue(unsigned Reg) const;
 
@@ -71,6 +68,9 @@ private:
 
   bool step(ExecResult &R); // executes one instruction
   Value evalOperand(const Frame &Fr, const Operand &O) const;
+  Value loadSlot(uint64_t Addr) const;
+  /// \returns false (nothing written) when \p Addr lies past its cap.
+  bool storeSlot(uint64_t Addr, Value V);
 
   Module &M;
   ExecObserver *Obs = nullptr;
@@ -81,6 +81,7 @@ private:
   uint64_t HeapPtr = 0;
   uint64_t StackPtr = 0;
   std::vector<uint64_t> GlobalBase;
+  bool GlobalsPastCap = false; ///< every run() fails: no memory was set up
 
   std::vector<Frame> Frames;
   Value Returned;

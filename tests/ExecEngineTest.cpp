@@ -20,6 +20,8 @@
 #include "sim/TreeWalkInterpreter.h"
 #include "workloads/WorkloadBuilder.h"
 
+#include "HostileModules.h"
+
 #include <gtest/gtest.h>
 
 using namespace helix;
@@ -225,6 +227,25 @@ TEST(ExecEngine, TrapsMatchTreeWalk) {
   TreeWalkInterpreter Ref(*P.M);
   Interpreter Dec(*P.M);
   expectResultsEqual(Ref.run(), Dec.run());
+
+  // Hostile addresses: the memory caps trap (or read 0) identically in
+  // both engines, and the process survives.
+  for (const HostileModule &H : hostileModules()) {
+    SCOPED_TRACE(H.Name);
+    ParseResult HP = parseModule(H.Text);
+    ASSERT_TRUE(HP.succeeded()) << HP.Error;
+    TreeWalkInterpreter HRef(*HP.M);
+    Interpreter HDec(*HP.M);
+    ExecResult RefR = HRef.run(), DecR = HDec.run();
+    expectResultsEqual(RefR, DecR);
+    if (H.Trap) {
+      EXPECT_FALSE(DecR.Ok);
+      EXPECT_NE(DecR.Error.find(H.Trap), std::string::npos) << DecR.Error;
+    } else {
+      ASSERT_TRUE(DecR.Ok) << DecR.Error;
+      EXPECT_EQ(DecR.ReturnValue.asInt(), 0);
+    }
+  }
 }
 
 TEST(ExecEngine, BudgetMatchesTreeWalk) {
@@ -325,7 +346,7 @@ struct EngineRun {
 
 EngineRun runBare(const ExecProgram &P) {
   EngineRun R;
-  PrivateExecMemory Mem(P);
+  ExecMemory Mem(P);
   const DecodedFunction *DF = P.findFunction("main");
   EXPECT_NE(DF, nullptr);
   R.Ctx.pushFrame(*DF);
@@ -365,7 +386,7 @@ TEST(ExecEngine, FusedBudgetCutoffsMatchUnfused) {
   ExecProgram Unfused(*M, DecodeOptions{false});
   ASSERT_GT(Fused.fusedPairs(), 0u);
   for (uint64_t Budget : {1u, 2u, 3u, 7u, 50u, 51u, 52u, 53u, 1000u, 1001u}) {
-    PrivateExecMemory FM(Fused), UM(Unfused);
+    ExecMemory FM(Fused), UM(Unfused);
     ExecContext FC, UC;
     FC.MaxSteps = UC.MaxSteps = Budget;
     FC.pushFrame(*Fused.findFunction("main"));
@@ -434,7 +455,7 @@ TEST(ExecEngine, FusedProgramObserverStreamMatchesTreeWalk) {
   ExecProgram Fused(*M, DecodeOptions{true});
   ASSERT_GT(Fused.fusedPairs(), 0u);
   Recorder Dec;
-  PrivateExecMemory Mem(Fused);
+  ExecMemory Mem(Fused);
   ExecContext Ctx;
   Ctx.pushFrame(*Fused.findFunction("main"));
   BareState State(Ctx, Fused);

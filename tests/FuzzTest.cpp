@@ -377,6 +377,26 @@ TEST(Campaign, CaseSeedReplayReproducesExactCase) {
   EXPECT_EQ(R.Failures[0].ReproText, S.Failures[0].ReproText);
 }
 
+TEST(Campaign, InlinedCalleesStartFromZeroedRegisters) {
+  // Each of these cases inlines a callee that reads a register before
+  // writing it into a loop. A real call reads 0 there; the inlined copy
+  // used to read the previous trip's value, so the transformed-sequential
+  // checksum diverged from the sequential one.
+  FuzzOptions Replay;
+  Replay.Shrink = false;
+  Replay.Diff.ThreadCounts = {2, 4};
+  Replay.CaseSeeds = {0x168318a629f3ebe4ull, 0x5780534e642427a0ull,
+                      0x68d74751a7122a75ull, 0xa177fd70ed0c709full,
+                      0x2073bbe0a93be224ull};
+  FuzzSummary S = runFuzzCampaign(Replay);
+  EXPECT_EQ(S.Runs, 5u);
+  EXPECT_EQ(S.Clean, 5u);
+  EXPECT_EQ(S.Divergent, 0u);
+  EXPECT_EQ(S.Inconclusive, 0u);
+  for (const FuzzFailure &F : S.Failures)
+    ADD_FAILURE() << std::hex << F.CaseSeed << ": " << F.Detail;
+}
+
 TEST(Campaign, CoverageGuidedIsDeterministicAcrossWorkerCounts) {
   FuzzOptions A;
   A.Seed = 101;

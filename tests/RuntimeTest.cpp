@@ -15,6 +15,8 @@
 #include "runtime/ThreadedRuntime.h"
 #include "workloads/WorkloadBuilder.h"
 
+#include "HostileModules.h"
+
 #include <gtest/gtest.h>
 
 using namespace helix;
@@ -223,6 +225,69 @@ TEST(ThreadedRuntime, TrappingIterationAbandonsDeadIterations) {
     for (int Rep = 0; Rep != 8; ++Rep) {
       ExecResult R = runThreaded(*P.M, Ptrs, Threads, nullptr);
       EXPECT_FALSE(R.Ok) << Threads << " threads, repetition " << Rep;
+      EXPECT_FALSE(R.Error.empty());
+    }
+  }
+}
+
+/// Hostile addresses end the threaded run with a structured error, on
+/// the main context and inside a worker's iteration alike — never by
+/// killing the process.
+TEST(ThreadedRuntime, HostileAddressesAreStructuredErrors) {
+  for (const HostileModule &H : hostileModules()) {
+    SCOPED_TRACE(H.Name);
+    ParseResult P = parseModule(H.Text);
+    ASSERT_TRUE(P.succeeded()) << P.Error;
+    ExecResult R = runThreaded(*P.M, {}, 2, nullptr);
+    if (H.Trap) {
+      EXPECT_FALSE(R.Ok);
+      EXPECT_NE(R.Error.find(H.Trap), std::string::npos) << R.Error;
+    } else {
+      ASSERT_TRUE(R.Ok) << R.Error;
+      EXPECT_EQ(R.ReturnValue.asInt(), 0);
+    }
+  }
+
+  // The same operations in iteration 5 of a parallelized loop: a worker
+  // traps, the invocation fails, the run reports it.
+  for (const char *Wild : {"  store r1, r8\n", "  r9 = halloc r8\n"}) {
+    SCOPED_TRACE(Wild);
+    std::string Text = "global @wild.A 16\n"
+                       "\n"
+                       "func @wild.k(0) {\n"
+                       "entry:\n"
+                       "  r1 = mov 0\n"
+                       "  br header\n"
+                       "header:\n"
+                       "  r3 = cmplt r1, 16\n"
+                       "  condbr r3, body, exit\n"
+                       "body:\n"
+                       "  r4 = add @wild.A, r1\n"
+                       "  r6 = cmpeq r1, 5\n"
+                       "  r7 = mul r6, 4611686018427387904\n"
+                       "  r8 = add r4, r7\n" +
+                       std::string(Wild) +
+                       "  r1 = add r1, 1\n"
+                       "  br header\n"
+                       "exit:\n"
+                       "  ret r1\n"
+                       "}\n"
+                       "\n"
+                       "func @main(0) {\n"
+                       "entry:\n"
+                       "  r0 = call @wild.k()\n"
+                       "  ret r0\n"
+                       "}\n";
+    ParseResult Parsed = parseModule(Text);
+    ASSERT_TRUE(Parsed.succeeded()) << Parsed.Error;
+    Prepared P = prepare(*Parsed.M);
+    ASSERT_FALSE(P.Loops.empty());
+    std::vector<const ParallelLoopInfo *> Ptrs;
+    for (auto &L : P.Loops)
+      Ptrs.push_back(&L);
+    for (unsigned Threads : {2u, 4u}) {
+      ExecResult R = runThreaded(*P.M, Ptrs, Threads, nullptr);
+      EXPECT_FALSE(R.Ok) << Threads << " threads";
       EXPECT_FALSE(R.Error.empty());
     }
   }

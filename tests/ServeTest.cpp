@@ -15,6 +15,8 @@
 #include "support/Format.h"
 #include "workloads/WorkloadBuilder.h"
 
+#include "HostileModules.h"
+
 #include <atomic>
 #include <gtest/gtest.h>
 #include <thread>
@@ -459,6 +461,18 @@ TEST(ServeServer, TrappingModuleIsIsolatedToTheRequest) {
   EXPECT_FALSE(Resp.Error.empty());
 
   // The daemon survived and serves the next request.
+  ASSERT_TRUE(Client.run(testModuleText(), "", smallOverrides(), Resp, &Err))
+      << Err;
+  EXPECT_TRUE(Resp.Ok) << Resp.Error;
+
+  // A wild store far past the memory cap is a trap of its request too...
+  HostileModule WildStore = hostileModules().front(); // store to 2^39
+  ASSERT_TRUE(Client.run(WildStore.Text, "", ConfigOverrides(), Resp, &Err))
+      << Err;
+  EXPECT_FALSE(Resp.Ok);
+  EXPECT_NE(Resp.Error.find(WildStore.Trap), std::string::npos) << Resp.Error;
+
+  // ...and the same daemon still serves a normal request afterwards.
   ASSERT_TRUE(Client.run(testModuleText(), "", smallOverrides(), Resp, &Err))
       << Err;
   EXPECT_TRUE(Resp.Ok) << Resp.Error;
